@@ -1,0 +1,1 @@
+"""Steady end-to-end and per-layer benchmark (see README.md)."""
