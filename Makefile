@@ -2,7 +2,7 @@
 
 .PHONY: install test bench bench-serve bench-train bench-retrieval \
 	bench-compile bench-cluster bench-full experiments examples clean resume-smoke \
-	serve-smoke chaos-smoke
+	serve-smoke chaos-smoke perfbench-smoke
 
 install:
 	python setup.py develop
@@ -29,10 +29,10 @@ bench-serve:
 		-k speedup_gate -q -s
 	python benchmarks/compare_bench.py BENCH_serve.json
 
-# Training-path benchmarks: epoch wall times for serial/parallel x
-# full/trimmed on a long-tail corpus, the >= 2x workers+trimming
-# speedup gate, and the <= 1% NDCG@10 parity gate (both skipped under
-# --benchmark-only, so they run second).
+# Training-path benchmarks: epoch wall times (5 rounds) for full vs
+# trimmed batches on a long-tail corpus, the >= 2x trimmed+bucketed
+# speedup gate, and the <= 1% NDCG@10 trimming parity gate (both
+# skipped under --benchmark-only, so they run second).
 bench-train:
 	PYTHONPATH=src pytest benchmarks/test_train_throughput.py \
 		--benchmark-only --benchmark-json=BENCH_train.json
@@ -108,6 +108,12 @@ serve-smoke:
 chaos-smoke:
 	timeout 180 env PYTHONPATH=src \
 		python -m repro serve-smoke --chaos --requests 240
+
+# Wiring check of the end-to-end benchmark: a short traced run of each
+# serving workload must exit 0 and report every per-layer metric named
+# in BENCHMARK.json (the tracer wraps program functions by name).
+perfbench-smoke:
+	python3 benchmarks/perfbench_smoke.py
 
 bench-all:
 	pytest benchmarks/ --benchmark-only

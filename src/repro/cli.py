@@ -105,7 +105,6 @@ def cmd_train(args) -> int:
         eval_every=2,
         seed=args.seed,
         verbose=not args.quiet,
-        num_workers=args.num_workers,
         trim_batches=not args.no_trim,
         bucket_by_length=args.bucket_by_length,
         bucket_epochs=args.bucket_epochs,
@@ -246,11 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lr", type=float, default=0.001)
     train.add_argument("--patience", type=int, default=5)
     train.add_argument("--quiet", action="store_true")
-    train.add_argument(
-        "--num-workers", type=int, default=1,
-        help="gradient-worker processes (>1 = deterministic data-parallel "
-             "training; the worker count is a runtime choice, checkpoints "
-             "resume under any value)")
     train.add_argument(
         "--no-trim", action="store_true",
         help="disable per-batch column trimming (on by default for the "

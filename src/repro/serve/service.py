@@ -211,12 +211,85 @@ class RecommendService:
         history (when ``exclude_history`` is on).
         """
         self._stats.requests += 1
-        budget = self.config.deadline if deadline is _UNSET else deadline
         try:
             history, top_n = self._validate(history, top_n)
         except InvalidRequest:
             self._stats.rejected += 1
             raise
+        return self._serve(history, top_n, deadline)
+
+    def recommend_many(
+        self,
+        histories,
+        top_n: int | None = None,
+        deadline=_UNSET,
+    ) -> list:
+        """Serve a batch of requests with one coalesced forward.
+
+        Each request is validated once; the valid histories are then
+        pushed through the highest non-open rung's engine in
+        micro-batches (one padded forward per ``max_batch`` chunk,
+        warming the score cache), and each request is served with
+        :meth:`recommend`'s breaker, retry, and deadline semantics,
+        picking its row up from the cache instead of paying its own
+        forward pass.  Batch-coalescing time is attributed to the batch
+        (the per-request latency stats measure the serve itself).
+
+        Rankings equal a :meth:`recommend` loop's bit for bit only where
+        the BLAS kernels are row-deterministic, i.e. where a row's
+        scores do not depend on how many rows share the forward (the
+        tests check this in float64).  In float32, near-tied scores can
+        round differently at batch 16 than at batch 1 and swap adjacent
+        ranks.
+
+        Returns a list aligned with ``histories`` whose elements are
+        :class:`Recommendation` on success and the raised
+        :class:`~repro.serve.errors.ServeError` on failure — errors are
+        returned, not raised, so one bad request cannot fail the batch.
+        Requires the service to be built with ``engine=`` for the
+        speedup; without one this degrades to the sequential loop.
+        """
+        requests = []
+        for history in histories:
+            self._stats.requests += 1
+            try:
+                requests.append(self._validate(history, top_n))
+            except InvalidRequest as error:
+                self._stats.rejected += 1
+                requests.append(error)
+        valid = [
+            request[0]
+            for request in requests
+            if not isinstance(request, InvalidRequest)
+        ]
+        if valid:
+            for rung in self._rungs:
+                engine = rung.engine
+                if engine is None:
+                    continue
+                # Only the highest healthy rung is warmed: lower rungs
+                # see traffic only when requests degrade, and an open
+                # breaker means "stop hammering this model" — prefetch
+                # must respect that too.
+                if rung.breaker.allow():
+                    engine.prefetch(valid)
+                break
+        results = []
+        for request in requests:
+            if isinstance(request, InvalidRequest):
+                results.append(request)
+                continue
+            try:
+                results.append(self._serve(*request, deadline))
+            except ServeError as error:
+                results.append(error)
+        return results
+
+    def _serve(
+        self, history: np.ndarray, top_n: int, deadline
+    ) -> Recommendation:
+        """Walk the rung ladder for one validated request."""
+        budget = self.config.deadline if deadline is _UNSET else deadline
         start = self._clock()
         causes: dict[str, str] = {}
         for index, rung in enumerate(self._rungs):
@@ -250,61 +323,6 @@ class RecommendService:
         raise AllRungsFailed(
             f"all {len(self._rungs)} rungs failed", causes
         )
-
-    def recommend_many(
-        self,
-        histories,
-        top_n: int | None = None,
-        deadline=_UNSET,
-    ) -> list:
-        """Serve a batch of requests with one coalesced forward.
-
-        The valid histories are first pushed through the highest
-        non-open rung's engine in micro-batches (one padded forward per
-        ``max_batch`` chunk, warming the score cache); each request then
-        flows through :meth:`recommend` unchanged — same validation,
-        breaker, retry, and deadline semantics — and picks its row up
-        from the cache instead of paying its own forward pass.  Rankings
-        are therefore bitwise-identical to calling :meth:`recommend` in
-        a loop; batch-coalescing time is attributed to the batch (the
-        per-request latency stats measure the serve itself).
-
-        Returns a list aligned with ``histories`` whose elements are
-        :class:`Recommendation` on success and the raised
-        :class:`~repro.serve.errors.ServeError` on failure — errors are
-        returned, not raised, so one bad request cannot fail the batch.
-        Requires the service to be built with ``engine=`` for the
-        speedup; without one this degrades to the sequential loop.
-        """
-        histories = list(histories)
-        valid = []
-        for history in histories:
-            try:
-                validated, _ = self._validate(history, top_n)
-            except InvalidRequest:
-                continue  # recommend() below re-raises and accounts it
-            valid.append(validated)
-        if valid:
-            for rung in self._rungs:
-                engine = rung.engine
-                if engine is None:
-                    continue
-                # Only the highest healthy rung is warmed: lower rungs
-                # see traffic only when requests degrade, and an open
-                # breaker means "stop hammering this model" — prefetch
-                # must respect that too.
-                if rung.breaker.allow():
-                    engine.prefetch(valid)
-                break
-        results = []
-        for history in histories:
-            try:
-                results.append(
-                    self.recommend(history, top_n=top_n, deadline=deadline)
-                )
-            except ServeError as error:
-                results.append(error)
-        return results
 
     def _attempt(
         self, rung: _Rung, history, top_n, start, budget, causes,

@@ -14,7 +14,6 @@ from .checkpoint import (
     save_training_checkpoint,
 )
 from .config import TrainerConfig, TrainingHistory
-from .parallel import ParallelTrainer, WorkerError
 from .trainer import Trainer
 
 __all__ = [
@@ -22,9 +21,7 @@ __all__ = [
     "CheckpointError",
     "ConstantBeta",
     "KLAnnealing",
-    "ParallelTrainer",
     "Trainer",
-    "WorkerError",
     "TrainerConfig",
     "TrainingCheckpoint",
     "TrainingHistory",

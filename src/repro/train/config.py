@@ -25,19 +25,6 @@ class TrainerConfig:
     eval_every: int = 1
     eval_metric: str = "ndcg@10"
     verbose: bool = False
-    num_workers: int = 1
-    """Gradient-worker processes for :class:`repro.train.ParallelTrainer`.
-
-    ``1`` (the default) trains in-process.  ``> 1`` forks that many
-    persistent worker processes, each holding a lock-step model replica;
-    every minibatch is sharded across them, gradients are reduced in the
-    parent in a fixed order with float64 accumulation, and one identical
-    Adam update is applied everywhere — so a run is deterministic for a
-    given ``(seed, num_workers)``.  The worker count is a *runtime*
-    choice: checkpoints carry no worker state and resume under any
-    ``num_workers`` (serial included).  Requires an OS with the
-    ``fork`` start method (Linux/macOS)."""
-
     trim_batches: bool = True
     """Column-trim each training batch to its own longest real sequence
     (plus the leading-pad target column) before the forward pass.
@@ -79,12 +66,6 @@ class TrainerConfig:
     cannot be traced (data-dependent shapes, e.g. Caser) fall back to
     eager automatically; ``False`` forces eager everywhere (the
     ``--no-compile`` CLI flag)."""
-
-    worker_timeout: float = 120.0
-    """Seconds the parent waits on a gradient worker before declaring it
-    dead (only used with ``num_workers > 1``).  A killed or hung worker
-    then raises a :class:`repro.train.parallel.WorkerError` instead of
-    blocking forever."""
 
     compute_dtype: str | None = None
     """Floating dtype for the whole training run (``"float32"`` /
@@ -134,10 +115,6 @@ class TrainerConfig:
                 )
             if self.bucket_epochs < 1:
                 raise ValueError("bucket_epochs must be >= 1 when set")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.worker_timeout <= 0:
-            raise ValueError("worker_timeout must be positive")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.keep_last is not None and self.keep_last < 1:

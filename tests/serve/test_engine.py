@@ -1,5 +1,6 @@
 """The inference engine: ScoreCache LRU accounting, MicroBatcher
-determinism, and the headline invariant — batched serving through
+determinism, and the headline invariant — in float64, where the BLAS
+kernels are row-deterministic, batched serving through
 `InferenceEngine` / `recommend_many` is bitwise-identical to the
 one-at-a-time path, including under fault-driven degradation."""
 
@@ -456,6 +457,28 @@ class TestBatchedSequentialEquivalence:
         assert isinstance(results[1], InvalidRequest)
         assert isinstance(results[2], Recommendation)
         stats = service.stats()
+        assert stats["rejected"] == 1 and stats["accounted"]
+
+    def test_recommend_many_validates_each_request_once(
+        self, sasrec, monkeypatch
+    ):
+        service = make_service(sasrec, engine=EngineConfig(max_batch=4))
+        validate = service._validate
+        calls = []
+
+        def counting(history, top_n):
+            calls.append(history)
+            return validate(history, top_n)
+
+        monkeypatch.setattr(service, "_validate", counting)
+        histories = ragged_histories(seed=3, count=9)
+        histories.append(np.array([], dtype=np.int64))  # invalid: empty
+        results = service.recommend_many(histories)
+        assert len(calls) == len(histories)
+        assert all(a is b for a, b in zip(calls, histories))
+        assert isinstance(results[-1], InvalidRequest)
+        stats = service.stats()
+        assert stats["requests"] == len(histories)
         assert stats["rejected"] == 1 and stats["accounted"]
 
     def test_degradation_under_faults_matches_sequential(self, sasrec):

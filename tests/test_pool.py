@@ -1,9 +1,10 @@
-"""ForkedWorkerPool: the forked persistent-worker machinery shared by
-the parallel trainer and the serving cluster — spawn/message round
-trips, typed failure surfacing (death, hang, worker exception), the
-SIGKILL drill hook, and the signal-all-then-join-once teardown."""
+"""ForkedWorkerPool: the forked persistent-worker machinery behind the
+serving cluster — spawn/message round trips, typed failure surfacing
+(death, hang, worker exception), the SIGKILL drill hook, and the
+signal-all-then-join-once teardown."""
 
 import multiprocessing
+import os
 import time
 import traceback
 
@@ -28,6 +29,8 @@ def _echo_loop(index, conn):
                 return
         elif kind == "hang":
             time.sleep(60)
+        elif kind == "die":
+            os._exit(3)  # no goodbye message, like an OOM kill
 
 
 def _stubborn_loop(index, conn):
@@ -75,6 +78,20 @@ class TestMessaging:
             pool.send(0, ("boom",))
             with pytest.raises(WorkerError, match="boom in the pool worker"):
                 pool.receive(0, "pong", timeout=10.0)
+
+    def test_worker_death_surfaces_before_the_timeout(self):
+        with ForkedWorkerPool(role="test worker") as pool:
+            pool.spawn(_echo_loop)
+            pool.spawn(_echo_loop)
+            pool.send(1, ("die",))
+            start = time.monotonic()
+            with pytest.raises(WorkerError,
+                               match=r"worker 1 died \(exit code 3\)"):
+                pool.receive(1, "pong", timeout=60.0)
+            # The broken pipe is noticed at once, not after the timeout.
+            assert time.monotonic() - start < 10.0
+            assert pool.alive(0)
+        assert _no_orphans()
 
     def test_receive_timeout_raises_instead_of_hanging(self):
         with ForkedWorkerPool() as pool:
@@ -149,6 +166,16 @@ class TestTeardown:
         # One shared graceful-join budget plus one terminate budget —
         # not a per-worker serial wait.
         assert elapsed < 4.0
+        assert len(pool) == 0
+
+    def test_parent_exception_inside_context_reaps_workers(self):
+        with pytest.raises(RuntimeError, match="parent-side failure"):
+            with ForkedWorkerPool() as pool:
+                for _ in range(3):
+                    pool.spawn(_echo_loop)
+                pool.broadcast(("ping", 1))
+                raise RuntimeError("parent-side failure mid-run")
+        assert _no_orphans()
         assert len(pool) == 0
 
     def test_stop_is_idempotent_and_safe_when_empty(self):
