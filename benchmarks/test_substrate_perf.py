@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import VSAN
 from repro.models import SASRec
-from repro.nn import GRU, CausalSelfAttention, Parameter
+from repro.nn import GRU, CausalSelfAttention, Linear, Parameter
 from repro.optim import Adam
 from repro.tensor import Tensor, set_default_dtype
 
@@ -87,6 +87,26 @@ def test_vsan_training_step(benchmark):
 
     loss = benchmark(step)
     assert np.isfinite(loss)
+
+
+@pytest.mark.parametrize("length", [9, 51])
+def test_output_head_backward(benchmark, length):
+    """Backward of VSAN's prediction layer at the long-tail bench shape:
+    (128, L, 48) @ (48, 2001) + bias, for the short (L=9) and long
+    (L=51) length buckets.  The weight and bias gradients are the two
+    largest reductions of a training step."""
+    head = Linear(48, 2001, np.random.default_rng(3))
+    x = Tensor(RNG.normal(size=(128, length, 48)))
+    grad = RNG.normal(size=(128, length, 2001)).astype(np.float32)
+
+    def forward():
+        head.zero_grad()
+        return (head(x),), {}
+
+    benchmark.pedantic(
+        lambda out: out.backward(grad), setup=forward, rounds=20
+    )
+    assert head.weight.grad.shape == (48, 2001)
 
 
 def test_sasrec_scoring_throughput(benchmark):

@@ -2,10 +2,10 @@
 
 :class:`ForkedWorkerPool` packages the process-management pattern —
 ``fork`` start-method workers that inherit live numpy models with zero
-pickling, one duplex pipe per worker, poll-with-timeout receives that
-surface worker tracebacks as typed :class:`WorkerError`\\ s instead of
-hangs — that the serving cluster (:mod:`repro.serve.cluster`) uses for
-its shard processes.
+pickling, one duplex pipe per worker, sends that surface a dead worker
+as a typed :class:`WorkerError` instead of a raw ``OSError`` — that the
+serving cluster (:mod:`repro.serve.cluster`) uses for its shard
+processes.  The cluster reads replies straight off ``connections``.
 
 Teardown semantics (the part worth centralizing): ``stop()`` signals
 **all** workers first and only then joins them against one *shared*
@@ -176,60 +176,6 @@ class ForkedWorkerPool:
             self.connections[worker].send(message)
         except (BrokenPipeError, OSError) as error:
             raise self.death(worker) from error
-
-    def broadcast(self, message) -> None:
-        """Send ``message`` to every worker."""
-        for worker in range(len(self.connections)):
-            self.send(worker, message)
-
-    def receive(self, worker: int, expected: str, timeout: float):
-        """Receive one message of kind ``expected`` from ``worker``.
-
-        Raises :class:`WorkerError` when the worker sends nothing within
-        ``timeout`` seconds (hang), its pipe breaks (death), it reports
-        an ``("error", traceback)`` message (raise), or the message kind
-        mismatches (protocol bug).
-        """
-        connection = self.connections[worker]
-        if not connection.poll(timeout):
-            raise WorkerError(
-                f"{self.role} {worker} sent nothing for "
-                f"{timeout:.0f}s (hung or livelocked); aborting the run "
-                "instead of waiting forever"
-            )
-        try:
-            message = connection.recv()
-        except (EOFError, OSError) as error:
-            raise self.death(worker) from error
-        if message[0] == "error":
-            raise WorkerError(
-                f"{self.role} {worker} raised:\n{message[1]}"
-            )
-        if message[0] != expected:  # pragma: no cover - protocol guard
-            raise WorkerError(
-                f"{self.role} {worker} sent {message[0]!r}, "
-                f"expected {expected!r}"
-            )
-        return message
-
-    def wait_any(self, timeout: float) -> list[int]:
-        """Indices of workers with a readable pipe, blocking up to
-        ``timeout`` seconds for at least one (empty list on timeout)."""
-        open_connections = [
-            connection
-            for connection in self.connections
-            if not connection.closed
-        ]
-        if not open_connections:
-            return []
-        ready = multiprocessing.connection.wait(
-            open_connections, timeout=timeout
-        )
-        return [
-            index
-            for index, connection in enumerate(self.connections)
-            if connection in ready
-        ]
 
     def death(self, worker: int) -> WorkerError:
         """Build the typed error describing one worker's death."""

@@ -17,6 +17,8 @@ Gradients for every op are exercised against finite differences in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -148,10 +150,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """
     if grad.shape == shape:
         return grad
-    # Sum away prepended axes.
+    # Sum away prepended axes as one flattened axis: the same row-by-row
+    # accumulation as a multi-axis sum (bitwise-equal for C-ordered
+    # gradients), without the slower multi-axis reduction setup.
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = grad.reshape((-1,) + grad.shape[extra:]).sum(axis=0)
     # Sum over axes that were stretched from size 1.
     squeeze_axes = tuple(
         axis for axis, size in enumerate(shape) if size == 1 and grad.shape[axis] != 1
@@ -551,6 +555,44 @@ class Tensor:
             prod_bufs[slot] = out = a @ b
             return out
 
+        # A batched left against a 2-D right (``Linear``, the output
+        # head) shares one right matrix across every leading index, so
+        # each gradient is a single GEMM over the flattened rows: the
+        # weight gradient is ``rows(left).T @ rows(grad)`` and the input
+        # gradient ``rows(grad) @ right.T``.  A non-contiguous
+        # operand (``VerticalConvolution``'s swapaxes view, a transposed
+        # gradient) is copied into a closure-cached buffer rather than
+        # reshaped, which would allocate a fresh copy on every replayed
+        # step.  The forward stays batched: a flattened forward GEMM would
+        # make each row's float32 rounding depend on B*L, so served scores
+        # would change with the batch a request arrives in.
+        flat_rows = self.data.ndim >= 3 and other.data.ndim == 2
+        row_bufs = [None, None]
+
+        def rows(slot, array):
+            if not array.flags.c_contiguous:
+                buf = row_bufs[slot]
+                if (
+                    buf is None
+                    or buf.shape != array.shape
+                    or buf.dtype != array.dtype
+                ):
+                    row_bufs[slot] = buf = np.empty_like(array, order="C")
+                np.copyto(buf, array)
+                array = buf
+            return array.reshape(
+                math.prod(array.shape[:-1]), array.shape[-1]
+            )
+
+        def flat_backward(grad):
+            grad_rows = rows(0, grad)
+            if self.requires_grad:
+                grad_left = grad_product(0, grad_rows, other.data.T)
+                self._accumulate_owned(grad_left.reshape(self.shape))
+            if other.requires_grad:
+                grad_right = grad_product(1, rows(1, self.data).T, grad_rows)
+                other._accumulate_owned(grad_right)
+
         def backward(grad):
             left = self.data[None, :] if left_vector else self.data
             right = other.data[:, None] if right_vector else other.data
@@ -585,7 +627,10 @@ class Tensor:
             def forward():
                 np.matmul(sa, oa, out=data)
 
-        return Tensor._make(data, (self, other), backward, forward)
+        return Tensor._make(
+            data, (self, other), flat_backward if flat_rows else backward,
+            forward,
+        )
 
     # ------------------------------------------------------------------
     # Elementwise functions
